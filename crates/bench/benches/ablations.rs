@@ -118,13 +118,13 @@ fn burst_vs_independent() {
     for mean in [0.01f64, 0.03, 0.06, 0.12] {
         let trials = 60_000u64;
         let count_fail = |model: LossModel, salt: u64| -> f64 {
-            let mut proc = LossProcess::new(model);
+            let mut proc = LossProcess::default();
             let mut rng = derive_rng(BENCH_SEED ^ salt, "ablation3");
             let mut fails = 0u64;
             for t in 0..trials {
                 let base = Nanos::from_secs(t * 40);
-                let all =
-                    (0..6).all(|k| proc.should_drop(base + Nanos::from_secs(k), false, &mut rng));
+                let all = (0..6)
+                    .all(|k| proc.should_drop(&model, base + Nanos::from_secs(k), false, &mut rng));
                 fails += u64::from(all);
             }
             fails as f64 / trials as f64

@@ -130,7 +130,10 @@ fn main() {
     std::hint::black_box(run_engine(&plan, &cfg, &eng));
 
     let t0 = Instant::now();
-    let (run, allocs) = ecn_bench::alloc::count_allocations(|| run_engine(&plan, &cfg, &eng));
+    // process-wide: the engine runs its shard on a thread of its own
+    let allocs0 = ecn_bench::alloc::allocation_count();
+    let run = run_engine(&plan, &cfg, &eng);
+    let allocs = ecn_bench::alloc::allocation_count() - allocs0;
     let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
 
     let logical_traces = run.result.aggregates.trace_stats.len();

@@ -8,6 +8,10 @@
 //!   skeleton. Pooling/`Arc`-sharing took this from 2634 to 564
 //!   allocations per unit at this scale (the remainder is genuinely
 //!   per-world state: node boxes, host stacks, services).
+//! - `restamp_unit` — turning a warm, reused unit world into the next
+//!   unit's world, which is what the engine pays per unit. Its bytes
+//!   must not grow with the world: only what the last unit touched is
+//!   reset, and only this unit's stacks are installed.
 //! - `run_trace` — the probe inner loop. Buffer pooling, capture
 //!   freelists, borrow-based verdict scans and no-clone polling took
 //!   this from 176 to ~80 allocations per (server, trace) observation;
@@ -19,15 +23,20 @@
 //! allocator jitter across platforms, tight enough that reintroducing
 //! per-packet `Vec` churn (owned `encode()`, capture copies, per-unit
 //! `format!` labels…) fails immediately.
+//!
+//! Every count is the calling thread's own ([`ecn_bench::alloc`]), so
+//! the tests measure the same numbers whether libtest runs them one at
+//! a time or in parallel.
 
-use ecn_bench::alloc::{count_allocations, CountingAlloc};
+use ecn_bench::alloc::{count_allocations, measure, CountingAlloc};
 use ecn_core::{run_discovery, run_trace, run_trace_observed, CampaignConfig, UnitId};
 use ecn_pool::{PoolPlan, WorldBlueprint};
+use std::net::Ipv4Addr;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Budget for stamping one unit world from the skeleton (measured: 654).
+/// Budget for stamping one unit world from the skeleton (measured: 647).
 const INSTANTIATE_BUDGET: u64 = 900;
 
 /// Budget per (server, trace) observation in the probe loop
@@ -57,6 +66,60 @@ fn unit_instantiation_allocations_stay_within_budget() {
     assert!(
         allocs < INSTANTIATE_BUDGET,
         "unit instantiation allocation regression: {allocs} (budget {INSTANTIATE_BUDGET})"
+    );
+}
+
+/// Byte budget for restamping a warm reused world with ten targets
+/// (measured: ~86 kB at 40 and at 800 servers — the 13 vantage stacks,
+/// ten server stacks and the DNS; a fresh scoped stamp of the same unit
+/// allocates ~225 kB at 40 servers and ~1.9 MB at 800).
+const RESTAMP_BYTES_BUDGET: u64 = 130_000;
+
+/// Bytes allocated restamping a warm reused world of `servers` servers
+/// for a unit probing the first ten servers, after earlier units ran
+/// real traffic through it.
+fn warm_restamp_bytes(servers: usize) -> u64 {
+    let cfg = test_cfg();
+    let plan = PoolPlan {
+        churn_at: cfg.batch2_start,
+        ..PoolPlan::scaled(servers)
+    };
+    let bp = WorldBlueprint::build(&plan, cfg.seed);
+    // the same number of targets at every scale: the gate is about the
+    // world's size, not the chunk's
+    let targets: Vec<Ipv4Addr> = bp.server_addrs[..10].to_vec();
+    let mut world = bp.blank_world();
+    for vantage in 0..3 {
+        bp.restamp_unit(&mut world, vantage, 0, &targets);
+        let rec = run_trace(&mut world, vantage, 2, &targets, &cfg);
+        assert_eq!(rec.outcomes.len(), targets.len());
+    }
+    let ((), counts) = measure(|| bp.restamp_unit(&mut world, 3, 0, &targets));
+    println!(
+        "restamp_unit at {servers} servers ({} links): {} bytes in {} allocations",
+        bp.link_count(),
+        counts.bytes,
+        counts.allocs
+    );
+    counts.bytes
+}
+
+#[test]
+fn restamp_bytes_do_not_grow_with_the_world() {
+    let small = warm_restamp_bytes(40);
+    let large = warm_restamp_bytes(800);
+    for (servers, bytes) in [(40, small), (800, large)] {
+        assert!(
+            bytes < RESTAMP_BYTES_BUDGET,
+            "restamp allocation regression at {servers} servers: {bytes} bytes \
+             (budget {RESTAMP_BYTES_BUDGET})"
+        );
+    }
+    // a restamp that touched O(world) state would allocate ~20x more for
+    // the 20x world; the ten targets' own stacks may differ by a service
+    assert!(
+        large * 2 < small * 3,
+        "restamp bytes grow with the world: {small} at 40 servers, {large} at 800"
     );
 }
 

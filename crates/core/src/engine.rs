@@ -4,13 +4,17 @@
 //! [`WorldBlueprint`] **once**, then executes the campaign as a pool of
 //! independent work units — one per (vantage × target-chunk) — scheduled
 //! across a configurable number of work-stealing shards. Each unit
-//! instantiates its own live world from the shared blueprint under an RNG
+//! runs in a live world stamped from the shared blueprint under an RNG
 //! domain label derived from the *unit identity* (never the shard), so:
 //!
 //! - shard count and work-stealing order cannot change any result byte —
 //!   sequential execution is literally the `shards = 1` special case;
-//! - N shards pay one decision phase plus N cheap instantiations, not N
-//!   full world builds (what the old per-vantage-thread runner did);
+//! - N shards pay one decision phase plus N world allocations, not N
+//!   full world builds (what the old per-vantage-thread runner did):
+//!   each shard allocates one world and restamps it for every unit it
+//!   runs ([`WorldBlueprint::restamp_unit`]), resetting only what the
+//!   previous unit touched — a restamped world is indistinguishable from
+//!   a fresh one (`tests/world_reuse.rs`);
 //! - finished records stream straight into shard-local reducers
 //!   ([`crate::reducers`]) instead of first accumulating every
 //!   [`TraceRecord`] in one `Vec`; the streamed aggregates are what the
@@ -26,11 +30,11 @@ use crate::config::CampaignConfig;
 use crate::events::{Event, Subscriber, UnitId};
 use crate::reducers::{Reduce, RouteCtx, ShardReducers, TraceCtx};
 use crate::trace::TraceRecord;
-use ecn_pool::{PoolPlan, WorldBlueprint};
+use ecn_pool::{PoolPlan, Scenario, WorldBlueprint};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -188,7 +192,9 @@ pub struct EngineTiming {
     pub blueprint_build: Duration,
     /// Discovery world instantiation + the DNS discovery loop.
     pub discovery: Duration,
-    /// Stamping out per-unit worlds from the blueprint (summed).
+    /// Stamping per-unit worlds from the blueprint (summed): each
+    /// shard's one world allocation and its drop, plus every restamp,
+    /// which includes resetting what the previous unit touched.
     pub instantiate: Duration,
     /// Probing + traceroute inside unit worlds (summed).
     pub probe: Duration,
@@ -230,9 +236,12 @@ pub struct EngineRun {
     pub peak_resident_traces: usize,
     /// Worker processes used (`1` = everything ran in this process).
     pub processes: usize,
-    /// Reducer merge rounds performed: ⌈log₂ shards-per-process⌉ for the
-    /// in-process tree, plus ⌈log₂ processes⌉ for the cross-process tree
-    /// in multi-process mode (see [`crate::reducers::merge_tree`]).
+    /// Reducer merge depth: ⌈log₂ shards-per-process⌉ for the in-process
+    /// tree, plus ⌈log₂ parts⌉ over the payloads (and resumed state) in
+    /// supervised mode (see [`crate::reducers::merge_tree`]). The
+    /// supervised parent folds parts as they land, which the commutative,
+    /// associative merge makes equal to that tree; the gauge reports the
+    /// tree's shape.
     pub merge_depth: usize,
     /// Peak resident set size in kB (`VmHWM`): the max across this
     /// process and every worker, each a per-process high-water mark. The
@@ -516,10 +525,13 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
                 let mut probe = Duration::ZERO;
                 let mut reduce = Duration::ZERO;
                 let mut done = 0usize;
+                // allocated by the shard's first unit, restamped by the rest
+                let mut world: Option<Scenario> = None;
                 while let Some(unit) = next_unit(s, queues) {
                     let chunk_targets = chunk_slice(targets, unit.chunk, chunks);
                     let out = run_unit(
                         bp,
+                        &mut world,
                         unit,
                         &per_vantage_sched[unit.vantage],
                         chunk_targets,
@@ -539,6 +551,9 @@ pub(crate) fn run_unit_pool<S: Subscriber>(
                         });
                     }
                 }
+                let t0 = Instant::now();
+                drop(world);
+                inst += t0.elapsed();
                 (outputs, reducers, sub, inst, probe, reduce)
             }));
         }
@@ -675,14 +690,16 @@ fn next_unit(s: usize, queues: &[Mutex<VecDeque<Unit>>]) -> Option<Unit> {
     None
 }
 
-/// Execute one unit: instantiate its world under the unit-identity RNG
-/// domain, run the vantage's schedule against the unit's target chunk,
+/// Execute one unit: restamp the shard's world (allocating it on the
+/// shard's first unit) under the unit-identity RNG domain, run the
+/// vantage's schedule against the unit's target chunk,
 /// then (optionally) its slice of the traceroute survey — streaming every
 /// finished record into the shard's reducers, and (when `S::ENABLED`)
 /// typed events into the shard's subscriber fork.
 #[allow(clippy::too_many_arguments)]
 fn run_unit<S: Subscriber>(
     bp: &WorldBlueprint,
+    world: &mut Option<Scenario>,
     unit: Unit,
     sched: &[ScheduledTrace],
     chunk_targets: &[Ipv4Addr],
@@ -703,8 +720,8 @@ fn run_unit<S: Subscriber>(
     // in a unit world flow exclusively between the vantages and the
     // chunk's targets, so the scoping is invisible to every outcome —
     // while cutting stamp cost from O(servers) to O(servers/chunks).
-    let probed: HashSet<Ipv4Addr> = chunk_targets.iter().copied().collect();
-    let mut sc = bp.instantiate_unit_scoped(unit.vantage, unit.chunk, &probed);
+    let sc = world.get_or_insert_with(|| bp.blank_world());
+    bp.restamp_unit(sc, unit.vantage, unit.chunk, chunk_targets);
     if S::ENABLED {
         // purely observational: the tap counts, it cannot change outcomes
         sc.sim.install_event_tap();
@@ -718,15 +735,7 @@ fn run_unit<S: Subscriber>(
         if sc.sim.now() < st.start {
             sc.sim.run_until(st.start);
         }
-        let rec = run_trace_observed(
-            &mut sc,
-            unit.vantage,
-            st.batch,
-            chunk_targets,
-            cfg,
-            sub,
-            uid,
-        );
+        let rec = run_trace_observed(sc, unit.vantage, st.batch, chunk_targets, cfg, sub, uid);
         let tr = Instant::now();
         reducers.observe_trace(
             &rec,
@@ -753,7 +762,7 @@ fn run_unit<S: Subscriber>(
     let routes = cfg
         .run_traceroute
         .then(|| {
-            let r = run_traceroute_survey(&mut sc, unit.vantage, chunk_targets, cfg);
+            let r = run_traceroute_survey(sc, unit.vantage, chunk_targets, cfg);
             let tr = Instant::now();
             reducers.observe_routes(
                 &r,

@@ -1,6 +1,6 @@
 //! Multi-process shard mode: partition the engine's unit pool across
 //! child **processes**, each running its own work-stealing shard pool,
-//! and tree-merge their serialized reducers in the parent — under a
+//! and merge their serialized reducers in the parent — under a
 //! supervisor that retries failed workers and can checkpoint progress.
 //!
 //! ## Why processes
@@ -56,7 +56,9 @@
 //! With [`EngineConfig::checkpoint`] set, the parent persists a
 //! [`Checkpoint`] — merged-so-far aggregates plus the completed-unit
 //! bitmap — after every worker payload, via the atomic same-directory
-//! temp+rename pattern. [`EngineConfig::resume`] loads one, verifies its
+//! temp+rename pattern. The parent keeps one running merge, folding each
+//! payload in as it lands, so a checkpoint costs one merge and one write
+//! rather than a re-merge of every payload so far. [`EngineConfig::resume`] loads one, verifies its
 //! campaign fingerprint, and re-runs only the units absent from the
 //! bitmap; the commutative merge makes the stitched result byte-identical
 //! to an uninterrupted run.
@@ -77,7 +79,7 @@ use crate::engine::{
 };
 use crate::events::{Event, Subscriber, UnitId};
 use crate::fault::{FaultPlan, WorkerFault, CRASH_EXIT_CODE, PARENT_EXIT_CODE};
-use crate::reducers::{merge_depth, merge_tree, ShardReducers};
+use crate::reducers::{merge_depth, Reduce, ShardReducers};
 use ecn_netsim::SimCounters;
 use ecn_pool::{PoolPlan, WorldBlueprint};
 use serde::{Deserialize, Serialize};
@@ -866,7 +868,12 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
 
     // Resume: load, verify identity, seed the merge with saved state.
     let mut completed: BTreeSet<usize> = BTreeSet::new();
-    let mut merged_parts: Vec<ShardReducers> = Vec::new();
+    // One running merge of the resumed state and every payload so far:
+    // the reducers merge commutatively and associatively, so folding parts
+    // as they land equals `merge_tree` over all of them, and each
+    // checkpoint writes this value instead of re-merging every payload.
+    let mut merged = ShardReducers::default();
+    let mut part_count = 0usize;
     if let Some(resume_path) = &eng.resume {
         let ck = read_checkpoint(resume_path)?;
         let mismatch = |detail: String| MpError::Checkpoint {
@@ -898,7 +905,8 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
             completed.len(),
             total_units
         );
-        merged_parts.push(ck.aggregates);
+        merged.merge(ck.aggregates);
+        part_count += 1;
     }
     let skip: Vec<usize> = completed.iter().copied().collect();
     let remaining = total_units - completed.len();
@@ -1033,17 +1041,24 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
                             });
                         }
                         completed.extend(assignments[worker].iter().copied());
-                        merged_parts.push(payload.aggregates);
+                        let t0 = Instant::now();
+                        merged.merge(payload.aggregates);
+                        timing.reduce += t0.elapsed();
+                        part_count += 1;
                         payloads_merged += 1;
                         if let Some(ck_path) = &eng.checkpoint {
+                            // lend the running merge to the checkpoint
+                            // for the write, then take it back
                             let ck = Checkpoint {
                                 version: CHECKPOINT_VERSION,
                                 fingerprint,
                                 unit_count: total_units,
                                 completed: completed.iter().copied().collect(),
-                                aggregates: merge_tree(merged_parts.clone()),
+                                aggregates: std::mem::take(&mut merged),
                             };
-                            if let Err(e) = write_checkpoint(ck_path, &ck) {
+                            let written = write_checkpoint(ck_path, &ck);
+                            merged = ck.aggregates;
+                            if let Err(e) = written {
                                 fatal.get_or_insert(e);
                             } else if S::ENABLED {
                                 subscriber.on_event(&Event::CheckpointWritten {
@@ -1071,11 +1086,8 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         return Err(error);
     }
 
-    // Phase 5 (parent): hierarchical merge of resumed state + payloads.
-    let t0 = Instant::now();
-    let part_count = merged_parts.len();
-    let aggregates = merge_tree(merged_parts);
-    timing.reduce += t0.elapsed();
+    // Phase 5 (parent): the running merge already holds the resumed
+    // state and every payload.
     timing.wall = wall0.elapsed();
 
     let result = finish(
@@ -1084,7 +1096,7 @@ pub(crate) fn run_multiprocess<S: Subscriber>(
         DiscoveryStats::from(&discovery),
         Vec::new(),
         Vec::new(),
-        aggregates,
+        merged,
     );
     Ok(EngineRun {
         result,
@@ -1118,6 +1130,7 @@ pub fn peak_rss_kb() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reducers::merge_tree;
 
     fn bare_request(processes: usize, index: usize) -> WorkerRequest {
         WorkerRequest {

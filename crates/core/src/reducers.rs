@@ -652,8 +652,8 @@ impl Reduce for HopSurveyCounts {
 // ------------------------------------------------------------- validation
 
 /// Streaming accumulator behind the ECN-validation report section:
-/// per-server counts of each [`ValidationOutcome`], indexed densely by
-/// [`ValidationOutcome::index`]. Truth-free at observe time — the
+/// per-server counts of each [`ecn_stack::ValidationOutcome`], indexed
+/// densely by [`ecn_stack::ValidationOutcome::index`]. Truth-free at observe time — the
 /// confusion matrix against middlebox ground truth is joined at report
 /// time ([`crate::analysis::validation`]), so observation stays a pure
 /// function of the trace record and the merge contract holds trivially

@@ -90,7 +90,10 @@ pub enum LinkOutcome {
     Dropped(QueueDropCause),
 }
 
-/// A directed link plus its runtime state.
+/// A directed link: identity, endpoints and static properties. Immutable
+/// once built, so every world stamped from one skeleton shares a single
+/// copy (the simulator's topology); what traffic changes lives in a
+/// per-world [`LinkState`].
 #[derive(Debug, Clone)]
 pub struct Link {
     /// Own id.
@@ -101,31 +104,39 @@ pub struct Link {
     pub to: NodeId,
     /// Static properties.
     pub props: LinkProps,
+}
+
+/// The part of a link that traffic mutates: the transmitter's busy
+/// horizon, RED's queue memory and the Gilbert–Elliott chain position.
+/// `LinkState::default()` is the fresh state.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LinkState {
+    busy_until: Nanos,
     queue: QueueState,
     loss: LossProcess,
-    busy_until: Nanos,
+    /// The simulator generation that last offered traffic to the link:
+    /// state from an earlier generation is stale and reads as fresh, which
+    /// is how a reset clears every link without visiting any.
+    pub(crate) gen: u32,
 }
 
 impl Link {
-    /// Build a link with fresh state.
+    /// Build a link.
     pub fn new(id: LinkId, from: NodeId, to: NodeId, props: LinkProps) -> Link {
         Link {
             id,
             from,
             to,
             props,
-            queue: QueueState::new(props.queue),
-            loss: LossProcess::new(props.loss),
-            busy_until: Nanos::ZERO,
         }
     }
 
     /// Current backlog in bytes, inferred from the busy horizon.
-    pub fn backlog_bytes(&self, now: Nanos) -> u64 {
+    pub fn backlog_bytes(&self, state: &LinkState, now: Nanos) -> u64 {
         match self.props.rate_bps {
             None | Some(0) => 0,
             Some(rate) => {
-                let busy = self.busy_until.saturating_sub(now);
+                let busy = state.busy_until.saturating_sub(now);
                 busy.0.saturating_mul(rate) / 8 / 1_000_000_000
             }
         }
@@ -146,24 +157,34 @@ impl Link {
             )
     }
 
-    /// Offer a packet of `bytes` bytes at `now`; `ect` marks CE-markability.
-    pub fn offer(&mut self, now: Nanos, bytes: u64, ect: bool, rng: &mut SmallRng) -> LinkOutcome {
-        if self.loss.should_drop(now, ect, rng) {
+    /// Offer a packet of `bytes` bytes at `now`, advancing the link's
+    /// runtime `state`; `ect` marks CE-markability.
+    pub fn offer(
+        &self,
+        state: &mut LinkState,
+        now: Nanos,
+        bytes: u64,
+        ect: bool,
+        rng: &mut SmallRng,
+    ) -> LinkOutcome {
+        if state.loss.should_drop(&self.props.loss, now, ect, rng) {
             return LinkOutcome::Lost;
         }
-        let backlog = self.backlog_bytes(now);
-        let sojourn = self.busy_until.saturating_sub(now);
-        let verdict = self.queue.on_arrival(backlog, bytes, sojourn, ect, rng);
+        let backlog = self.backlog_bytes(state, now);
+        let sojourn = state.busy_until.saturating_sub(now);
+        let verdict = state
+            .queue
+            .on_arrival(&self.props.queue, backlog, bytes, sojourn, ect, rng);
         let ce_mark = match verdict {
             QueueVerdict::Drop(cause) => return LinkOutcome::Dropped(cause),
             QueueVerdict::EnqueueMarked => true,
             QueueVerdict::Enqueue => false,
         };
-        let start = self.busy_until.max(now);
+        let start = state.busy_until.max(now);
         let tx = serialisation_delay(self.props.rate_bps, bytes);
-        self.busy_until = start + tx;
+        state.busy_until = start + tx;
         LinkOutcome::Deliver {
-            at: self.busy_until + self.props.delay,
+            at: state.busy_until + self.props.delay,
             ce_mark,
         }
     }
@@ -174,8 +195,37 @@ mod tests {
     use super::*;
     use crate::rng::derive_rng;
 
-    fn mk(props: LinkProps) -> Link {
-        Link::new(LinkId(0), NodeId(0), NodeId(1), props)
+    /// A link under test: its static half plus its runtime state.
+    struct TestLink {
+        link: Link,
+        state: LinkState,
+    }
+
+    impl TestLink {
+        fn offer(&mut self, now: Nanos, bytes: u64, ect: bool, rng: &mut SmallRng) -> LinkOutcome {
+            self.link.offer(&mut self.state, now, bytes, ect, rng)
+        }
+
+        fn backlog_bytes(&self, now: Nanos) -> u64 {
+            self.link.backlog_bytes(&self.state, now)
+        }
+
+        fn is_passive(&self) -> bool {
+            self.link.is_passive()
+        }
+    }
+
+    fn mk(props: LinkProps) -> TestLink {
+        TestLink {
+            link: Link::new(LinkId(0), NodeId(0), NodeId(1), props),
+            state: LinkState::default(),
+        }
+    }
+
+    #[test]
+    fn link_state_stays_small() {
+        // what every world allocates per link, however many links it has
+        assert!(std::mem::size_of::<LinkState>() <= 48);
     }
 
     #[test]

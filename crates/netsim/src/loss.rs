@@ -174,10 +174,13 @@ fn duty_weighted(mean_good: Nanos, mean_bad: Nanos, loss_good: f64, loss_bad: f6
     }
 }
 
-/// Runtime state of a loss process.
-#[derive(Debug, Clone)]
+/// Runtime state of one link's loss process: only the Gilbert–Elliott
+/// chain position. The model itself is static link configuration
+/// ([`crate::LinkProps::loss`]) and is passed in per packet, so a world
+/// stores it once, in the shared topology. All-zero when fresh (Good
+/// state, initial draw pending).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LossProcess {
-    model: LossModel,
     /// Gilbert–Elliott: are we currently in the Bad state?
     in_bad: bool,
     /// When the current state expires.
@@ -185,24 +188,17 @@ pub struct LossProcess {
 }
 
 impl LossProcess {
-    /// Create a process in the Good state.
-    pub fn new(model: LossModel) -> LossProcess {
-        LossProcess {
-            model,
-            in_bad: false,
-            state_until: Nanos::ZERO,
-        }
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &LossModel {
-        &self.model
-    }
-
-    /// Should the packet passing at `now` be dropped? `ecn_capable` is
-    /// true for ECT(0)/ECT(1)/CE packets (only the ECN-biased model cares).
-    pub fn should_drop(&mut self, now: Nanos, ecn_capable: bool, rng: &mut SmallRng) -> bool {
-        match self.model {
+    /// Should the packet passing at `now` be dropped under `model`?
+    /// `ecn_capable` is true for ECT(0)/ECT(1)/CE packets (only the
+    /// ECN-biased model cares).
+    pub fn should_drop(
+        &mut self,
+        model: &LossModel,
+        now: Nanos,
+        ecn_capable: bool,
+        rng: &mut SmallRng,
+    ) -> bool {
+        match *model {
             LossModel::None => false,
             LossModel::Bernoulli { p } => p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)),
             LossModel::GilbertElliott {
@@ -274,9 +270,28 @@ mod tests {
     use super::*;
     use crate::rng::derive_rng;
 
+    /// A loss process under test: its model plus its runtime state.
+    struct Process {
+        model: LossModel,
+        state: LossProcess,
+    }
+
+    impl Process {
+        fn should_drop(&mut self, now: Nanos, ecn_capable: bool, rng: &mut SmallRng) -> bool {
+            self.state.should_drop(&self.model, now, ecn_capable, rng)
+        }
+    }
+
+    fn process(model: LossModel) -> Process {
+        Process {
+            model,
+            state: LossProcess::default(),
+        }
+    }
+
     #[test]
     fn none_never_drops() {
-        let mut p = LossProcess::new(LossModel::None);
+        let mut p = process(LossModel::None);
         let mut rng = derive_rng(1, "t");
         for i in 0..1000 {
             assert!(!p.should_drop(Nanos(i), false, &mut rng));
@@ -285,7 +300,7 @@ mod tests {
 
     #[test]
     fn bernoulli_hits_mean() {
-        let mut p = LossProcess::new(LossModel::Bernoulli { p: 0.1 });
+        let mut p = process(LossModel::Bernoulli { p: 0.1 });
         let mut rng = derive_rng(2, "t");
         let drops = (0..20_000)
             .filter(|i| p.should_drop(Nanos(*i), false, &mut rng))
@@ -298,7 +313,7 @@ mod tests {
     fn gilbert_elliott_hits_mean_and_bursts() {
         let model = LossModel::congested_access(0.10);
         assert!((model.mean_loss() - 0.10).abs() < 0.01);
-        let mut p = LossProcess::new(model);
+        let mut p = process(model);
         let mut rng = derive_rng(3, "t");
         // one packet per 10 ms over ~3.3 virtual hours (the 8-second burst
         // states need a long horizon for the duty cycle to converge)
@@ -326,8 +341,8 @@ mod tests {
     fn bernoulli_does_not_burst_like_ge() {
         // Equal mean loss, radically different P(5 consecutive losses) —
         // the mechanism behind false "unreachable" verdicts.
-        let mut bern = LossProcess::new(LossModel::Bernoulli { p: 0.1 });
-        let mut ge = LossProcess::new(LossModel::congested_access(0.1));
+        let mut bern = process(LossModel::Bernoulli { p: 0.1 });
+        let mut ge = process(LossModel::congested_access(0.1));
         let mut rng_b = derive_rng(4, "b");
         let mut rng_g = derive_rng(4, "g");
         let trials = 20_000u64;

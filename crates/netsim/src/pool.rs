@@ -9,8 +9,9 @@
 //! ([`PacketPool::recycle_datagram`] on deliver/drop), so the steady-state
 //! hot loop reuses the same handful of buffers.
 //!
-//! The pool is deliberately simulator-local (no locks): each work unit's
-//! world owns one, matching the engine's world-per-unit isolation.
+//! The pool is deliberately simulator-local (no locks): each world owns
+//! one. An engine shard reuses one world for all its units, and
+//! [`crate::Sim::reset`] keeps the pool, so it stays warm across units.
 
 use ecn_wire::Datagram;
 

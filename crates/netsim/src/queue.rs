@@ -137,10 +137,12 @@ pub enum QueueDropCause {
     RedForced,
 }
 
-/// Runtime queue state for one link.
-#[derive(Debug, Clone)]
+/// Runtime queue state for one link: only what RED remembers between
+/// arrivals. The discipline itself is static link configuration
+/// ([`crate::LinkProps::queue`]) and is passed in per arrival, so a world
+/// stores it once, in the shared topology. All-zero when fresh.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueueState {
-    disc: QueueDisc,
     /// EWMA of the queue size in bytes (RED only).
     avg_bytes: f64,
     /// Packets since the last RED mark/drop (RED's uniformisation counter).
@@ -148,38 +150,26 @@ pub struct QueueState {
 }
 
 impl QueueState {
-    /// Fresh state for a discipline.
-    pub fn new(disc: QueueDisc) -> QueueState {
-        QueueState {
-            disc,
-            avg_bytes: 0.0,
-            count_since_mark: 0,
-        }
-    }
-
-    /// The configured discipline.
-    pub fn disc(&self) -> &QueueDisc {
-        &self.disc
-    }
-
     /// Current average queue estimate (test/diagnostic hook).
     pub fn avg_bytes(&self) -> f64 {
         self.avg_bytes
     }
 
-    /// Decide the fate of a packet arriving to a backlog of
-    /// `backlog_bytes`. `sojourn` is the queueing delay the packet will
-    /// experience before transmission begins (zero on unlimited-rate
-    /// links); `ect` says whether the packet is CE-markable.
+    /// Decide the fate of a packet arriving at a `disc` queue with a
+    /// backlog of `backlog_bytes`. `sojourn` is the queueing delay the
+    /// packet will experience before transmission begins (zero on
+    /// unlimited-rate links); `ect` says whether the packet is
+    /// CE-markable.
     pub fn on_arrival(
         &mut self,
+        disc: &QueueDisc,
         backlog_bytes: u64,
         packet_bytes: u64,
         sojourn: Nanos,
         ect: bool,
         rng: &mut SmallRng,
     ) -> QueueVerdict {
-        match self.disc {
+        match *disc {
             QueueDisc::DropTail { limit_bytes } => {
                 if backlog_bytes + packet_bytes > limit_bytes {
                     QueueVerdict::Drop(QueueDropCause::Overflow)
@@ -274,9 +264,36 @@ mod tests {
     use super::*;
     use crate::rng::derive_rng;
 
+    /// A queue under test: its discipline plus its runtime state.
+    struct Queue {
+        disc: QueueDisc,
+        state: QueueState,
+    }
+
+    impl Queue {
+        fn on_arrival(
+            &mut self,
+            backlog_bytes: u64,
+            packet_bytes: u64,
+            sojourn: Nanos,
+            ect: bool,
+            rng: &mut SmallRng,
+        ) -> QueueVerdict {
+            self.state
+                .on_arrival(&self.disc, backlog_bytes, packet_bytes, sojourn, ect, rng)
+        }
+    }
+
+    fn queue(disc: QueueDisc) -> Queue {
+        Queue {
+            disc,
+            state: QueueState::default(),
+        }
+    }
+
     #[test]
     fn droptail_accepts_under_limit() {
-        let mut q = QueueState::new(QueueDisc::DropTail { limit_bytes: 3000 });
+        let mut q = queue(QueueDisc::DropTail { limit_bytes: 3000 });
         let mut rng = derive_rng(1, "q");
         assert_eq!(
             q.on_arrival(0, 1500, Nanos::ZERO, false, &mut rng),
@@ -294,7 +311,7 @@ mod tests {
 
     #[test]
     fn red_idle_queue_never_marks() {
-        let mut q = QueueState::new(QueueDisc::red_ecn(100_000));
+        let mut q = queue(QueueDisc::red_ecn(100_000));
         let mut rng = derive_rng(2, "q");
         for _ in 0..1000 {
             assert_eq!(
@@ -318,7 +335,7 @@ mod tests {
 
         let mut marks = 0;
         let mut drops = 0;
-        let mut q = QueueState::new(disc);
+        let mut q = queue(disc);
         for _ in 0..5000 {
             match q.on_arrival(25_000, 1000, Nanos::ZERO, true, &mut rng) {
                 QueueVerdict::EnqueueMarked => marks += 1,
@@ -329,7 +346,7 @@ mod tests {
         assert!(marks > 100, "ECT packets should be CE-marked, got {marks}");
         assert_eq!(drops, 0, "ECT packets must not be early-dropped");
 
-        let mut q = QueueState::new(disc);
+        let mut q = queue(disc);
         let mut marks_ne = 0;
         let mut drops_ne = 0;
         for _ in 0..5000 {
@@ -356,7 +373,7 @@ mod tests {
             ecn: true,
             limit_bytes: 1_000_000,
         };
-        let mut q = QueueState::new(disc);
+        let mut q = queue(disc);
         let mut rng = derive_rng(4, "q");
         assert_eq!(
             q.on_arrival(50_000, 100, Nanos::ZERO, true, &mut rng),
@@ -370,7 +387,7 @@ mod tests {
 
     #[test]
     fn red_hard_limit_still_applies() {
-        let mut q = QueueState::new(QueueDisc::red_ecn(10_000));
+        let mut q = queue(QueueDisc::red_ecn(10_000));
         let mut rng = derive_rng(5, "q");
         assert_eq!(
             q.on_arrival(25_000, 1500, Nanos::ZERO, true, &mut rng),
@@ -380,7 +397,7 @@ mod tests {
 
     #[test]
     fn mark_prob_marks_only_markable() {
-        let mut q = QueueState::new(QueueDisc::aqm_mark(0.5));
+        let mut q = queue(QueueDisc::aqm_mark(0.5));
         let mut rng = derive_rng(6, "q");
         let mut marks = 0;
         for _ in 0..2000 {
@@ -405,7 +422,7 @@ mod tests {
         let disc = QueueDisc::aqm_mark(0.5);
         let mut a = derive_rng(7, "q");
         let mut b = derive_rng(7, "q");
-        let mut qa = QueueState::new(disc);
+        let mut qa = queue(disc);
         // stream a: 100 not-ECT packets through the marker, then one draw
         for _ in 0..100 {
             qa.on_arrival(0, 100, Nanos::ZERO, false, &mut a);
@@ -416,7 +433,7 @@ mod tests {
 
     #[test]
     fn codel_mark_thresholds_on_sojourn() {
-        let mut q = QueueState::new(QueueDisc::l4s_mark(Nanos::from_millis(1)));
+        let mut q = queue(QueueDisc::l4s_mark(Nanos::from_millis(1)));
         let mut rng = derive_rng(8, "q");
         // below target: untouched
         assert_eq!(
@@ -438,7 +455,7 @@ mod tests {
     #[test]
     fn markers_respect_hard_limit() {
         let mut rng = derive_rng(9, "q");
-        let mut q = QueueState::new(QueueDisc::MarkProb {
+        let mut q = queue(QueueDisc::MarkProb {
             prob: 1.0,
             limit_bytes: 1000,
         });
@@ -446,7 +463,7 @@ mod tests {
             q.on_arrival(900, 200, Nanos::ZERO, true, &mut rng),
             QueueVerdict::Drop(QueueDropCause::Overflow)
         );
-        let mut q = QueueState::new(QueueDisc::CodelMark {
+        let mut q = queue(QueueDisc::CodelMark {
             target: Nanos::ZERO,
             limit_bytes: 1000,
         });

@@ -23,7 +23,7 @@
 //! whole batch anyway.
 
 use crate::events::SimCounters;
-use crate::link::{Link, LinkId, LinkProps, NodeId};
+use crate::link::{Link, LinkId, LinkProps, LinkState, NodeId};
 use crate::node::{flow_key_header, flow_key_raw, HostAgent, NodeKind, RouteEntry, Router};
 use crate::pcap::{new_capture, CaptureRef, Direction};
 use crate::policy::{EcnPolicy, Firewall, FirewallAction};
@@ -152,6 +152,8 @@ struct Topology {
     uplinks: Vec<Option<LinkId>>,
     /// Address → node index (first node wins on duplicates).
     addr_index: HashMap<Ipv4Addr, NodeId>,
+    /// All directed links (static half); index = `LinkId`.
+    links: Vec<Link>,
 }
 
 /// The simulator.
@@ -170,8 +172,16 @@ pub struct Sim {
     agents: Vec<Option<Box<dyn HostAgent>>>,
     /// Host capture per id.
     captures: Vec<Option<CaptureRef>>,
-    /// All directed links; index = `LinkId`.
-    pub links: Vec<Link>,
+    /// Hosts given an agent or capture since the last reset — exactly
+    /// the `agents`/`captures` slots [`Self::reset`] must clear.
+    touched_hosts: Vec<NodeId>,
+    /// Runtime state per link (index = `LinkId`); the static half lives
+    /// in the shared topology.
+    link_state: Vec<LinkState>,
+    /// Current link-state generation: a [`LinkState`] stamped with an
+    /// older one is stale, and the transmit path replaces it with the
+    /// fresh state before use. [`Self::reset`] bumps it.
+    link_gen: u32,
     /// Ground-truth counters (not visible to the measurement application).
     pub stats: Stats,
     /// Datagram buffer freelist: checked out on encode, refilled when the
@@ -235,7 +245,9 @@ impl Sim {
             topo: Arc::new(Topology::default()),
             agents: Vec::new(),
             captures: Vec::new(),
-            links: Vec::new(),
+            touched_hosts: Vec::new(),
+            link_state: Vec::new(),
+            link_gen: 0,
             stats: Stats::default(),
             pool: PacketPool::new(),
             events: None,
@@ -307,9 +319,10 @@ impl Sim {
         t.tables.reserve(nodes);
         t.uplinks.reserve(nodes);
         t.addr_index.reserve(nodes);
+        t.links.reserve(links);
         self.agents.reserve(nodes);
         self.captures.reserve(nodes);
-        self.links.reserve(links);
+        self.link_state.reserve(links);
     }
 
     /// Copy-on-write handle on the topology for construction-time edits:
@@ -407,8 +420,10 @@ impl Sim {
 
     /// Add a directed link.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, props: LinkProps) -> LinkId {
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(Link::new(id, from, to, props));
+        let t = self.topo_mut();
+        let id = LinkId(t.links.len() as u32);
+        t.links.push(Link::new(id, from, to, props));
+        self.link_state.push(LinkState::default());
         id
     }
 
@@ -435,6 +450,11 @@ impl Sim {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.topo.kinds.len()
+    }
+
+    /// Number of directed links.
+    pub fn link_count(&self) -> usize {
+        self.topo.links.len()
     }
 
     /// Is this node a router?
@@ -506,6 +526,7 @@ impl Sim {
     /// Install the agent driving a host.
     pub fn set_agent(&mut self, host: NodeId, agent: Box<dyn HostAgent>) {
         assert!(!self.is_router(host), "set_agent: {host:?} is a router");
+        self.touch_host(host);
         self.agents[host.0 as usize] = Some(agent);
     }
 
@@ -515,9 +536,19 @@ impl Sim {
             !self.is_router(host),
             "attach_capture: {host:?} is a router"
         );
+        self.touch_host(host);
         self.captures[host.0 as usize]
             .get_or_insert_with(new_capture)
             .clone()
+    }
+
+    /// List `host` for [`Self::reset`] the first time it gets an agent or
+    /// a capture.
+    fn touch_host(&mut self, host: NodeId) {
+        let i = host.0 as usize;
+        if self.agents[i].is_none() && self.captures[i].is_none() {
+            self.touched_hosts.push(host);
+        }
     }
 
     /// Node id of the host with address `addr` (indexed; O(1)).
@@ -899,13 +930,14 @@ impl Sim {
             ..RouteCacheSlot::EMPTY
         };
         let Some(l0) = link else { return slot };
-        if !self.links[l0.0 as usize].is_passive() {
+        let links = &self.topo.links;
+        if !links[l0.0 as usize].is_passive() {
             return slot;
         }
         // the per-hop key is the flow key XOR the hop's node id
         let base = key ^ (u64::from(node.0) << 48);
-        let mut delay = self.links[l0.0 as usize].props.delay;
-        let mut cur = self.links[l0.0 as usize].to;
+        let mut delay = links[l0.0 as usize].props.delay;
+        let mut cur = links[l0.0 as usize].to;
         let mut skip = 0u8;
         let max_skip = MAX_TUNNEL_SKIP.min(ttl.saturating_sub(1));
         while skip < max_skip {
@@ -926,12 +958,12 @@ impl Sim {
                 // before it so the drop is attributed to the right hop
                 break;
             };
-            if !self.links[next.0 as usize].is_passive() {
+            if !links[next.0 as usize].is_passive() {
                 break;
             }
-            delay += self.links[next.0 as usize].props.delay;
+            delay += links[next.0 as usize].props.delay;
             skip += 1;
-            cur = self.links[next.0 as usize].to;
+            cur = links[next.0 as usize].to;
         }
         if skip > 0 {
             let period = self.config.flap_period.0.max(1);
@@ -953,9 +985,22 @@ impl Sim {
 
     fn transmit_with(&mut self, lid: LinkId, mut dgram: Datagram, ecn: Ecn, needs_refresh: bool) {
         let now = self.now;
-        let link = &mut self.links[lid.0 as usize];
+        let link = &self.topo.links[lid.0 as usize];
         let to = link.to;
-        match link.offer(now, dgram.len() as u64, ecn.is_markable(), &mut self.rng) {
+        let gen = self.link_gen;
+        let state = &mut self.link_state[lid.0 as usize];
+        if state.gen != gen {
+            // first traffic since a reset: start from the fresh state
+            *state = LinkState::default();
+            state.gen = gen;
+        }
+        match link.offer(
+            state,
+            now,
+            dgram.len() as u64,
+            ecn.is_markable(),
+            &mut self.rng,
+        ) {
             crate::link::LinkOutcome::Deliver { at, ce_mark } => {
                 if ce_mark {
                     dgram.set_ecn_raw(Ecn::Ce);
@@ -1034,27 +1079,23 @@ impl HostApi<'_> {
 
 /// An immutable, thread-shareable snapshot of a constructed topology:
 /// the struct-of-arrays node columns (with `Arc`-shared labels and
-/// forwarding tables) and links — no agents, captures, or pending
-/// events. One skeleton is built per blueprint; every work unit then
-/// stamps a live [`Sim`] from it with [`SimSkeleton::instantiate`] — a
-/// handful of column clones plus reference bumps instead of re-running
-/// topology construction (and, since the flat layout, instead of one
-/// box allocation per node).
+/// forwarding tables) and the static half of every link — no agents,
+/// captures, link state or pending events. One skeleton is built per
+/// blueprint; a live [`Sim`] is stamped from it with
+/// [`SimSkeleton::instantiate`] and can then be returned to that fresh
+/// state with [`Sim::reset`] as often as needed.
 pub struct SimSkeleton {
     /// Shared by reference with every stamped world: a stamp bumps one
-    /// refcount instead of cloning ten node-indexed vectors.
+    /// refcount instead of cloning the node columns and the links.
     topo: Arc<Topology>,
-    /// Links carry live state (queues, loss RNG, busy horizon), so each
-    /// stamped world still gets its own copy.
-    links: Vec<Link>,
 }
 
 impl Sim {
     /// Freeze this simulator's topology into a shareable skeleton.
     ///
-    /// Panics if the simulator has run (pending events), or carries
+    /// Panics if the simulator has pending events, or carries
     /// agents/captures — a skeleton snapshots *construction* output, not
-    /// runtime state.
+    /// runtime state (link state is not part of it either).
     pub fn freeze(self) -> SimSkeleton {
         assert_eq!(self.queue.len(), 0, "freeze: pending events");
         for (i, agent) in self.agents.iter().enumerate() {
@@ -1071,17 +1112,44 @@ impl Sim {
                 self.topo.labels[i]
             );
         }
-        SimSkeleton {
-            topo: self.topo,
-            links: self.links,
+        SimSkeleton { topo: self.topo }
+    }
+
+    /// Return this world to the state [`SimSkeleton::instantiate`] stamps
+    /// under `config`, in time proportional to what ran since the last
+    /// stamp rather than to the topology. Only dirty state is restored:
+    /// the agents and captures installed since, the event wheel, stats,
+    /// the event tap, clock, sequence, routing epoch and the RNG. Link
+    /// state and the route cache are retired in O(1) by bumping their
+    /// generations: a link state or cache slot from an older generation
+    /// is never used as it stands (one could only pass for current again
+    /// after 2³² resets). The packet pool and every buffer keep their
+    /// capacity.
+    pub fn reset(&mut self, config: SimConfig) {
+        for host in self.touched_hosts.drain(..) {
+            self.agents[host.0 as usize] = None;
+            self.captures[host.0 as usize] = None;
         }
+        self.link_gen = self.link_gen.wrapping_add(1);
+        self.queue.clear();
+        self.now = Nanos::ZERO;
+        self.seq = 0;
+        self.stats = Stats::default();
+        self.events = None;
+        self.route_gen = self.route_gen.wrapping_add(1);
+        self.epoch = 0;
+        self.epoch_next_at = Nanos(config.flap_period.0.max(1));
+        self.dispatched = 0;
+        self.rng = SmallRng::seed_from_u64(config.seed ^ 0xec00_5eed);
+        self.config = config;
     }
 }
 
 impl SimSkeleton {
     /// Stamp a live simulator from this skeleton under `config`: the
     /// topology is shared (one `Arc` bump), only the mutable per-world
-    /// columns — links, agents, captures, route cache — are allocated.
+    /// columns — link state, agents, captures, route cache — are
+    /// allocated.
     pub fn instantiate(&self, config: SimConfig) -> Sim {
         let n = self.topo.kinds.len();
         let mut sim = Sim::with_config(config);
@@ -1089,7 +1157,7 @@ impl SimSkeleton {
         sim.agents = std::iter::repeat_with(|| None).take(n).collect();
         sim.captures = vec![None; n];
         sim.route_cache = vec![RouteCacheSlot::EMPTY; n * ROUTE_CACHE_WAYS];
-        sim.links = self.links.clone();
+        sim.link_state = vec![LinkState::default(); self.topo.links.len()];
         sim
     }
 
@@ -1100,7 +1168,7 @@ impl SimSkeleton {
 
     /// Links in the skeleton.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.topo.links.len()
     }
 }
 
@@ -1457,6 +1525,89 @@ mod tests {
         assert_eq!(sim.find_node(Ipv4Addr::new(10, 0, 0, 254)), Some(r1));
         assert_eq!(sim.find_host(Ipv4Addr::new(10, 0, 0, 254)), None);
         assert_eq!(sim.find_host(Ipv4Addr::new(203, 0, 113, 7)), None);
+    }
+
+    /// host A -- r1 ==RED, bursty== r2 -- host B, frozen into a skeleton.
+    fn red_line_skeleton() -> (SimSkeleton, NodeId, NodeId) {
+        let mut sim = Sim::new(0);
+        let a = sim.add_host("A", Ipv4Addr::new(10, 0, 0, 1));
+        let b = sim.add_host("B", Ipv4Addr::new(192, 0, 2, 1));
+        let r1 = sim.add_router(Router::new("r1", Ipv4Addr::new(10, 0, 0, 254), 65001));
+        let r2 = sim.add_router(Router::new("r2", Ipv4Addr::new(192, 0, 2, 254), 65002));
+        sim.attach_host(a, r1, LinkProps::bursty(Nanos::from_micros(10), 0.05));
+        sim.attach_host(b, r2, LinkProps::clean(Nanos::from_micros(10)));
+        let red = QueueDisc::Red {
+            min_th_bytes: 1_000,
+            max_th_bytes: 60_000,
+            max_p: 0.3,
+            weight: 0.3,
+            ecn: true,
+            limit_bytes: 1_000_000,
+        };
+        let (l12, l21) = sim.add_duplex(
+            r1,
+            r2,
+            LinkProps::bottleneck(Nanos::from_millis(5), 400_000, red),
+        );
+        sim.route(r1, "0.0.0.0/0".parse().unwrap(), RouteEntry::Link(l12));
+        sim.route(r2, "0.0.0.0/0".parse().unwrap(), RouteEntry::Link(l21));
+        (sim.freeze(), a, b)
+    }
+
+    /// Drive an ECT train from A to B's echoer, leaving traffic in
+    /// flight; returns what A captured and the world's counters.
+    fn drive_red_train(sim: &mut Sim, a: NodeId, b: NodeId) -> (Vec<Vec<u8>>, Stats, Nanos, u64) {
+        sim.set_agent(b, Box::new(Echoer));
+        let cap = sim.attach_capture(a);
+        for i in 0..120u32 {
+            let mut h = Ipv4Header::probe(
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(192, 0, 2, 1),
+                IpProto::Udp,
+                Ecn::Ect0,
+            );
+            h.identification = i as u16;
+            let payload = ecn_wire::udp::udp_segment(
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(192, 0, 2, 1),
+                5000,
+                5001,
+                &[0u8; 460],
+            );
+            sim.run_until(Nanos::from_millis(2 * u64::from(i)));
+            sim.send_from(a, Datagram::new(h, &payload));
+        }
+        let bytes = cap
+            .lock()
+            .packets()
+            .iter()
+            .map(|p| p.datagram().unwrap().as_bytes().to_vec())
+            .collect();
+        (bytes, sim.stats.clone(), sim.now(), sim.events_dispatched())
+    }
+
+    #[test]
+    fn reset_world_replays_a_fresh_stamp_exactly() {
+        let (skel, a, b) = red_line_skeleton();
+        let config = SimConfig {
+            seed: 31,
+            ..SimConfig::default()
+        };
+        let mut fresh = skel.instantiate(config);
+        let expected = drive_red_train(&mut fresh, a, b);
+        assert!(expected.1.ce_marked > 0, "the RED queue must carry state");
+
+        // dirty a world under another seed (queue memory, loss chain,
+        // agents, a capture, events still in flight), then reset it
+        let mut reused = skel.instantiate(SimConfig {
+            seed: 32,
+            ..SimConfig::default()
+        });
+        drive_red_train(&mut reused, a, b);
+        assert!(reused.pending_events() > 0);
+        reused.reset(config);
+        assert_eq!(reused.pending_events(), 0);
+        assert_eq!(drive_red_train(&mut reused, a, b), expected);
     }
 
     #[test]

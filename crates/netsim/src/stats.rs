@@ -30,7 +30,7 @@ pub enum DropCause {
 }
 
 /// Aggregate and per-node counters.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Packets forwarded router-to-link (per hop).
     pub forwarded: u64,

@@ -140,6 +140,16 @@ impl<E> Level<E> {
     fn clear_bit(&mut self, offset: usize) {
         self.occ[offset / 64] &= !(1u64 << (offset % 64));
     }
+
+    /// Empty every occupied slot, keeping each slot's capacity.
+    fn clear(&mut self) {
+        for (w, bits) in self.occ.iter_mut().enumerate() {
+            while *bits != 0 {
+                self.slots[w * 64 + bits.trailing_zeros() as usize].clear();
+                *bits &= *bits - 1;
+            }
+        }
+    }
 }
 
 /// The event queue: pops entries in exact `(at, seq)` order (earliest
@@ -192,6 +202,23 @@ impl<E> EventWheel<E> {
             overflow: BinaryHeap::new(),
             len: 0,
         }
+    }
+
+    /// Drop every pending entry and re-position the wheel at time zero,
+    /// as [`Self::new`] leaves it, but keep every buffer's capacity: a
+    /// reused simulator restarts its clock without reallocating the
+    /// wheel. Costs O(occupied slots), not O(slots).
+    pub fn clear(&mut self) {
+        self.ready.clear();
+        self.front.clear();
+        self.ready_tick = 0;
+        self.armed = false;
+        self.l0.clear();
+        self.l0_base = 0;
+        self.l1.clear();
+        self.l1_base = 0;
+        self.overflow.clear();
+        self.len = 0;
     }
 
     /// Pending entries.
@@ -405,6 +432,28 @@ mod tests {
             vec![(100, 1, 11), (100, 2, 12), (300, 3, 13), (500, 0, 10)]
         );
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn clear_restarts_at_time_zero_with_nothing_pending() {
+        let mut w = EventWheel::new();
+        // entries in every storage area: level 0, level 1, overflow, and
+        // an armed ready run
+        for (i, at) in [5u64, 40_000_000, 9_000_000_000, 60_000_000_000]
+            .into_iter()
+            .enumerate()
+        {
+            w.push(Nanos(at), i as u64, i as u32);
+        }
+        assert_eq!(w.pop(), Some((Nanos(5), 0, 0)));
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!(w.debug_count(), 0);
+        assert_eq!(w.next_at(), None);
+        // a cleared wheel accepts times before anything it held
+        w.push(Nanos(7), 0, 70);
+        w.push(Nanos(3), 1, 30);
+        assert_eq!(drain(&mut w), vec![(3, 1, 30), (7, 0, 70)]);
     }
 
     #[test]

@@ -52,11 +52,12 @@ proptest! {
 
     #[test]
     fn loss_means_converge(mean in 0.0f64..0.4) {
-        let mut proc = LossProcess::new(LossModel::congested_access(mean));
+        let model = LossModel::congested_access(mean);
+        let mut proc = LossProcess::default();
         let mut rng = derive_rng(42, "prop-loss");
         let n = 400_000u64;
         let drops = (0..n)
-            .filter(|i| proc.should_drop(Nanos::from_millis(i * 10), false, &mut rng))
+            .filter(|i| proc.should_drop(&model, Nanos::from_millis(i * 10), false, &mut rng))
             .count();
         let rate = drops as f64 / n as f64;
         // generous band: burst models converge slowly
@@ -66,7 +67,7 @@ proptest! {
     #[test]
     fn ecn_biased_loss_prefers_ect(duty in 0.05f64..0.5) {
         let model = LossModel::tos_biased_access(duty, 0.3, 0.9);
-        let mut proc = LossProcess::new(model);
+        let mut proc = LossProcess::default();
         let mut rng = derive_rng(7, "prop-bias");
         let n = 200_000u64;
         let mut ect_drops = 0u64;
@@ -75,9 +76,9 @@ proptest! {
             let t = Nanos::from_millis(i * 10);
             // alternate markings through the same chain
             if i % 2 == 0 {
-                ect_drops += u64::from(proc.should_drop(t, true, &mut rng));
+                ect_drops += u64::from(proc.should_drop(&model, t, true, &mut rng));
             } else {
-                plain_drops += u64::from(proc.should_drop(t, false, &mut rng));
+                plain_drops += u64::from(proc.should_drop(&model, t, false, &mut rng));
             }
         }
         prop_assert!(ect_drops > plain_drops * 2,
@@ -198,9 +199,10 @@ proptest! {
     ) {
         // the same arrival sequence, once unmarkable and once markable
         let mut rng = derive_rng(seed, "aqm-unmarkable");
-        let mut q = QueueState::new(disc);
+        let mut q = QueueState::default();
         for (backlog, bytes, sojourn_us) in &arrivals {
             let v = q.on_arrival(
+                &disc,
                 *backlog,
                 *bytes,
                 Nanos(sojourn_us * 1_000),
@@ -227,12 +229,13 @@ proptest! {
         // per-packet stream) cannot change a mark
         let run = |label: &str| {
             let mut rng = derive_rng(seed, label);
-            let mut q = QueueState::new(disc);
+            let mut q = QueueState::default();
             ect_pattern
                 .iter()
                 .enumerate()
                 .map(|(i, ect)| {
                     q.on_arrival(
+                        &disc,
                         (i as u64 * 700) % 40_000,
                         1_000,
                         Nanos(((i as u64 * 131) % 3_000) * 1_000),
@@ -253,20 +256,18 @@ proptest! {
         // prob = 1 marks every markable arrival, prob = 0 marks none —
         // and CodelMark marks exactly when sojourn exceeds the target
         let mut rng = derive_rng(seed, "aqm-extremes");
-        let mut always = QueueState::new(QueueDisc::aqm_mark(1.0));
-        let mut never = QueueState::new(QueueDisc::aqm_mark(0.0));
+        let mut state = QueueState::default();
         let target = Nanos::from_millis(1);
-        let mut codel = QueueState::new(QueueDisc::l4s_mark(target));
         let sojourn = Nanos(sojourn_us * 1_000);
         prop_assert!(matches!(
-            always.on_arrival(0, 100, sojourn, true, &mut rng),
+            state.on_arrival(&QueueDisc::aqm_mark(1.0), 0, 100, sojourn, true, &mut rng),
             QueueVerdict::EnqueueMarked
         ));
         prop_assert!(matches!(
-            never.on_arrival(0, 100, sojourn, true, &mut rng),
+            state.on_arrival(&QueueDisc::aqm_mark(0.0), 0, 100, sojourn, true, &mut rng),
             QueueVerdict::Enqueue
         ));
-        let v = codel.on_arrival(0, 100, sojourn, true, &mut rng);
+        let v = state.on_arrival(&QueueDisc::l4s_mark(target), 0, 100, sojourn, true, &mut rng);
         prop_assert_eq!(
             matches!(v, QueueVerdict::EnqueueMarked),
             sojourn > target,

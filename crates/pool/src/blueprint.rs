@@ -15,6 +15,12 @@
 //! `build(..).instantiate()` composition) still produces the same world,
 //! packet for packet, for a given (plan, seed).
 //!
+//! World reuse: [`WorldBlueprint::restamp_unit`] turns an existing world
+//! into the next engine unit's world, resetting only what the previous
+//! unit touched (`ecn_netsim::Sim::reset`). Every `instantiate*` call is
+//! a [`WorldBlueprint::blank_world`] put through the same stamp, so there
+//! is one stamping path and a reused world equals a fresh one.
+//!
 //! Per-shard RNG domains: [`WorldBlueprint::instantiate_domain`] gives the
 //! world's *packet* randomness its own stream derived from the seed and a
 //! stable label (`ecn_netsim::Sim::with_domain`), so an execution engine
@@ -290,6 +296,9 @@ pub struct WorldBlueprint {
     /// The built server population (node ids are skeleton-deterministic),
     /// shared with every world.
     servers: Arc<Vec<ServerInfo>>,
+    /// Server address → index into `servers` (first server wins on a
+    /// duplicate), so a unit stamp visits only its own targets.
+    server_index: HashMap<Ipv4Addr, usize>,
     /// The pool DNS zone, shared with every instantiated world's DNS
     /// service.
     zone: Arc<HashMap<String, Vec<Ipv4Addr>>>,
@@ -636,6 +645,11 @@ impl WorldBlueprint {
                 .collect()
         };
 
+        let mut server_index = HashMap::with_capacity(servers.len());
+        for (i, info) in servers.iter().enumerate() {
+            server_index.entry(info.addr).or_insert(i);
+        }
+
         WorldBlueprint {
             plan: plan.clone(),
             seed,
@@ -648,6 +662,7 @@ impl WorldBlueprint {
             dns_host: topo.dns_host,
             truth: Arc::new(truth),
             servers: Arc::new(servers),
+            server_index,
             zone: Arc::new(zone),
             node_count,
             link_count,
@@ -695,8 +710,7 @@ impl WorldBlueprint {
     /// packet-RNG domain label `engine/unit/v{vantage}/c{chunk}` is
     /// formatted on the stack (same bytes, same seed, no allocation).
     pub fn instantiate_unit(&self, vantage: usize, chunk: usize) -> Scenario {
-        let label = LabelBuf::format(format_args!("engine/unit/v{vantage}/c{chunk}"));
-        self.instantiate_domain(label.as_str())
+        self.instantiate_config(unit_config(self.seed, vantage, chunk))
     }
 
     /// [`instantiate_unit`](Self::instantiate_unit), but install server
@@ -711,45 +725,95 @@ impl WorldBlueprint {
     /// between instantiation dominating the campaign and vanishing from
     /// its profile; `tests/determinism.rs` and the goldens pin the
     /// byte-identity.
+    ///
+    /// This is a [`blank_world`](Self::blank_world) put through the same
+    /// stamp as [`restamp_unit`](Self::restamp_unit), which is what keeps
+    /// a fresh unit world and a reused one identical.
     pub fn instantiate_unit_scoped(
         &self,
         vantage: usize,
         chunk: usize,
         probed: &HashSet<Ipv4Addr>,
     ) -> Scenario {
-        let label = LabelBuf::format(format_args!("engine/unit/v{vantage}/c{chunk}"));
-        self.instantiate_scoped(
-            SimConfig {
-                seed: derive_seed(self.seed, label.as_str()),
-                ..SimConfig::default()
-            },
-            Some(probed),
-        )
+        let servers = probed
+            .iter()
+            .filter_map(|addr| self.server_index.get(addr).copied());
+        let mut world = self.blank_world();
+        self.stamp(&mut world, unit_config(self.seed, vantage, chunk), servers);
+        world
     }
 
-    /// The per-world construction phase: stamp a simulator from the
-    /// skeleton and install what is genuinely per-world — host stacks,
-    /// services, and the vantage handles.
-    fn instantiate_config(&self, config: SimConfig) -> Scenario {
-        self.instantiate_scoped(config, None)
+    /// A world with no host stacks installed: the skeleton's simulator
+    /// and the shared databases, allocated once. It is not usable until
+    /// [`restamp_unit`](Self::restamp_unit) stamps a unit into it; the
+    /// engine keeps one per shard and restamps it for every unit it runs.
+    pub fn blank_world(&self) -> Scenario {
+        Scenario {
+            sim: self.skeleton.instantiate(SimConfig::default()),
+            vantages: Vec::with_capacity(self.vantage_hosts.len()),
+            servers: self.servers.clone(),
+            dns_addr: DNS_ADDR,
+            geodb: self.geodb.clone(),
+            asdb: self.asdb.clone(),
+            truth: self.truth.clone(),
+            plan: self.plan.clone(),
+        }
     }
 
-    fn instantiate_scoped(
+    /// Turn `world` — a [`blank_world`](Self::blank_world) or any world
+    /// stamped from this blueprint — into the world
+    /// [`instantiate_unit_scoped`](Self::instantiate_unit_scoped) would
+    /// build for unit `(vantage, chunk)` probing `targets`, in time
+    /// proportional to what the world's previous unit touched plus the
+    /// stacks this unit needs ([`Sim::reset`]), not to the topology.
+    /// Addresses in `targets` that are not pool servers are ignored.
+    ///
+    /// Panics if `world` was stamped from another blueprint.
+    pub fn restamp_unit(
         &self,
+        world: &mut Scenario,
+        vantage: usize,
+        chunk: usize,
+        targets: &[Ipv4Addr],
+    ) {
+        assert!(
+            Arc::ptr_eq(&world.servers, &self.servers),
+            "restamp_unit: world belongs to another blueprint"
+        );
+        let servers = targets
+            .iter()
+            .filter_map(|addr| self.server_index.get(addr).copied());
+        self.stamp(world, unit_config(self.seed, vantage, chunk), servers);
+    }
+
+    /// A whole world (every server stack) under `config`.
+    fn instantiate_config(&self, config: SimConfig) -> Scenario {
+        let mut world = self.blank_world();
+        self.stamp(&mut world, config, 0..self.servers.len());
+        world
+    }
+
+    /// The one stamping path: reset the simulator to a fresh stamp under
+    /// `config`, then install what is genuinely per-world — the vantage
+    /// stacks and handles, a stack and services on each listed server
+    /// (by index into `servers`), and the pool DNS.
+    fn stamp(
+        &self,
+        world: &mut Scenario,
         config: SimConfig,
-        probed: Option<&HashSet<Ipv4Addr>>,
-    ) -> Scenario {
+        servers: impl IntoIterator<Item = usize>,
+    ) {
         let seed = self.seed;
-        let mut sim = self.skeleton.instantiate(config);
+        let sim = &mut world.sim;
+        sim.reset(config);
         sim.reserve_events(256);
 
-        let specs = self.plan.vantages();
-        let mut vantages = Vec::with_capacity(specs.len());
-        for (vi, spec) in specs.into_iter().enumerate() {
+        world.vantages.clear();
+        for (vi, spec) in self.plan.vantages().into_iter().enumerate() {
             let node = self.vantage_hosts[vi];
             let addr = sim.addr_of(node);
             let handle = install(
-                &mut sim,
+                sim,
                 node,
                 StackConfig {
                     udp_port_unreachable: true,
@@ -757,7 +821,7 @@ impl WorldBlueprint {
                     ..StackConfig::default()
                 },
             );
-            vantages.push(Vantage {
+            world.vantages.push(Vantage {
                 spec,
                 node,
                 handle,
@@ -765,15 +829,11 @@ impl WorldBlueprint {
             });
         }
 
-        for info in self.servers.iter() {
-            if let Some(probed) = probed {
-                if !probed.contains(&info.addr) {
-                    continue;
-                }
-            }
+        for i in servers {
+            let info = &self.servers[i];
             let profile = &info.profile;
             let handle = install(
-                &mut sim,
+                sim,
                 info.node,
                 StackConfig {
                     udp_port_unreachable: false,
@@ -810,7 +870,7 @@ impl WorldBlueprint {
         }
 
         let dns_handle: HostHandle = install(
-            &mut sim,
+            sim,
             self.dns_host,
             StackConfig {
                 seed: seed ^ 0xd15,
@@ -819,17 +879,17 @@ impl WorldBlueprint {
         );
         dns_handle
             .register_udp_service(53, Box::new(PoolDnsService::new_shared(self.zone.clone())));
+    }
+}
 
-        Scenario {
-            sim,
-            vantages,
-            servers: self.servers.clone(),
-            dns_addr: DNS_ADDR,
-            geodb: self.geodb.clone(),
-            asdb: self.asdb.clone(),
-            truth: self.truth.clone(),
-            plan: self.plan.clone(),
-        }
+/// The simulator configuration of engine unit `(vantage, chunk)`: packet
+/// randomness in the domain `engine/unit/v{vantage}/c{chunk}`, formatted
+/// on the stack (same bytes, same seed, no allocation).
+fn unit_config(seed: u64, vantage: usize, chunk: usize) -> SimConfig {
+    let label = LabelBuf::format(format_args!("engine/unit/v{vantage}/c{chunk}"));
+    SimConfig {
+        seed: derive_seed(seed, label.as_str()),
+        ..SimConfig::default()
     }
 }
 
@@ -1234,7 +1294,7 @@ mod tests {
         let a = bp.instantiate();
         let b = bp.instantiate();
         assert_eq!(a.sim.node_count(), b.sim.node_count());
-        assert_eq!(a.sim.links.len(), b.sim.links.len());
+        assert_eq!(a.sim.link_count(), b.sim.link_count());
         assert_eq!(a.servers.len(), b.servers.len());
         for (sa, sb) in a.servers.iter().zip(b.servers.iter()) {
             assert_eq!(sa.addr, sb.addr);
@@ -1250,7 +1310,7 @@ mod tests {
         let bp = WorldBlueprint::build(&PoolPlan::scaled(60), 3);
         let sc = bp.instantiate();
         assert_eq!(sc.sim.node_count(), bp.node_count(), "node count hint");
-        assert_eq!(sc.sim.links.len(), bp.link_count(), "link count hint");
+        assert_eq!(sc.sim.link_count(), bp.link_count(), "link count hint");
     }
 
     #[test]
